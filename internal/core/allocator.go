@@ -87,6 +87,9 @@ type flowState struct {
 	// lastNotified is the rate most recently sent to the endpoint, or 0 if
 	// the endpoint has never been notified.
 	lastNotified float64
+	// slot is the caller's dense index for the flow (SetFlowSlot), echoed
+	// in its rate updates.
+	slot int32
 }
 
 // RateUpdate is one rate notification for an endpoint.
@@ -97,6 +100,10 @@ type RateUpdate struct {
 	Src int
 	// Rate is the newly allocated rate in bits per second.
 	Rate float64
+	// Slot is the caller-assigned slot of the flow (see
+	// Allocator.SetFlowSlot), 0 when none was assigned. It lets a caller
+	// that keeps per-flow state in dense arrays reach it without a lookup.
+	Slot int32
 }
 
 // TrafficStats accumulates control-plane traffic volume (§6.4).
@@ -232,6 +239,18 @@ func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, s
 	return nil
 }
 
+// SetFlowSlot attaches a caller-owned dense index to a registered flowlet.
+// The allocator carries it with the flow through swap-removals and echoes it
+// in every RateUpdate for the flow.
+func (a *Allocator) SetFlowSlot(id FlowID, slot int32) error {
+	idx, ok := a.indexByID[id]
+	if !ok {
+		return fmt.Errorf("core: flowlet %d is not registered", id)
+	}
+	a.flows[idx].slot = slot
+	return nil
+}
+
 // FlowletEnd removes a flowlet. It corresponds to a flowlet-end notification.
 func (a *Allocator) FlowletEnd(id FlowID) error {
 	idx, ok := a.indexByID[id]
@@ -322,7 +341,7 @@ func (a *Allocator) Iterate() []RateUpdate {
 		f := &a.flows[i]
 		if SignificantRateChange(f.lastNotified, rate, thr) {
 			f.lastNotified = rate
-			updates = append(updates, RateUpdate{Flow: f.id, Src: f.src, Rate: rate})
+			updates = append(updates, RateUpdate{Flow: f.id, Src: f.src, Rate: rate, Slot: f.slot})
 			a.stats.RateUpdatesSent++
 			a.stats.FromAllocatorBytes += RateUpdateBytes + perMessageOverheadBytes
 		} else {

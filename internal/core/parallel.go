@@ -55,6 +55,9 @@ type flowBlock struct {
 	// swap-deletes to it) lets the daemon engine's update walk run on
 	// dense arrays with no per-flow map lookups.
 	lastNotified []float64
+	// slots are the caller-assigned flow slots (SetFlowSlot), echoed in
+	// AppendUpdates and moved with their flows on swap-deletes.
+	slots []int32
 
 	// CSR link-position arenas: flow i touches positions
 	// upIdx[upOff[i]:upOff[i]+upLen[i]] of the source block's upward
@@ -91,6 +94,7 @@ func (fb *flowBlock) addFlow(f ParallelFlow, weight, baseWeight float64, upN, do
 	fb.sizes = append(fb.sizes, f.SizeHint)
 	fb.rates = append(fb.rates, 0)
 	fb.lastNotified = append(fb.lastNotified, 0)
+	fb.slots = append(fb.slots, 0)
 	fb.upOff = append(fb.upOff, int32(len(fb.upIdx)-upN))
 	fb.upLen = append(fb.upLen, int32(upN))
 	fb.downOff = append(fb.downOff, int32(len(fb.downIdx)-downN))
@@ -114,6 +118,7 @@ func (fb *flowBlock) removeSwap(i int) FlowID {
 		fb.sizes[i] = fb.sizes[last]
 		fb.rates[i] = fb.rates[last]
 		fb.lastNotified[i] = fb.lastNotified[last]
+		fb.slots[i] = fb.slots[last]
 		fb.upOff[i] = fb.upOff[last]
 		fb.upLen[i] = fb.upLen[last]
 		fb.downOff[i] = fb.downOff[last]
@@ -128,6 +133,7 @@ func (fb *flowBlock) removeSwap(i int) FlowID {
 	fb.sizes = fb.sizes[:last]
 	fb.rates = fb.rates[:last]
 	fb.lastNotified = fb.lastNotified[:last]
+	fb.slots = fb.slots[:last]
 	fb.upOff = fb.upOff[:last]
 	fb.upLen = fb.upLen[:last]
 	fb.downOff = fb.downOff[:last]
@@ -154,6 +160,7 @@ func (fb *flowBlock) reset() {
 	fb.sizes = fb.sizes[:0]
 	fb.rates = fb.rates[:0]
 	fb.lastNotified = fb.lastNotified[:0]
+	fb.slots = fb.slots[:0]
 	fb.upIdx = fb.upIdx[:0]
 	fb.upOff = fb.upOff[:0]
 	fb.upLen = fb.upLen[:0]
@@ -499,6 +506,18 @@ func mortonIndex(sb, db, n int) int {
 		m |= (sb >> bit & 1) << (2*bit + 1)
 	}
 	return m
+}
+
+// SetFlowSlot attaches a caller-owned dense index to a registered flowlet;
+// AppendUpdates echoes it in RateUpdate.Slot. It may only be called while no
+// Iterate call is in flight.
+func (p *ParallelAllocator) SetFlowSlot(id FlowID, slot int32) error {
+	l, ok := p.loc[id]
+	if !ok {
+		return fmt.Errorf("core: flowlet %d is not registered", id)
+	}
+	p.fbs[l.fb].slots[l.idx] = slot
+	return nil
 }
 
 // FlowletEnd removes a flowlet by swap-deleting it from its FlowBlock — an
@@ -850,7 +869,7 @@ func (p *ParallelAllocator) AppendUpdates(threshold float64, buf []RateUpdate) [
 			rate := fb.rates[i]
 			if SignificantRateChange(fb.lastNotified[i], rate, threshold) {
 				fb.lastNotified[i] = rate
-				buf = append(buf, RateUpdate{Flow: id, Src: int(fb.srcs[i]), Rate: rate})
+				buf = append(buf, RateUpdate{Flow: id, Src: int(fb.srcs[i]), Rate: rate, Slot: fb.slots[i]})
 			}
 		}
 	}

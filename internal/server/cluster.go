@@ -1231,15 +1231,13 @@ func (s *Server) adoptLocked(dead int) {
 	if rep != nil {
 		for _, e := range rep.flows {
 			id := core.FlowID(e.Flow)
-			if _, exists := s.owners[id]; exists {
+			if _, exists := s.flows.index[id]; exists {
 				continue
 			}
-			if err := s.eng.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
+			if err := s.admitLocked(id, int(e.Src), int(e.Dst), e.Weight, 0, nil); err != nil {
 				failed++
 				continue
 			}
-			s.owners[id] = nil
-			s.unowned[id] = flowMeta{src: int(e.Src), dst: int(e.Dst), weight: e.Weight}
 			adopted++
 		}
 	}

@@ -19,6 +19,11 @@
 // receives a synchronous reply batch — which is how the deterministic
 // end-to-end tests and the daemon-backed scenarios run.
 //
+// Per-flow state — owner session, registration, pending rate and last-sent
+// shadow — lives in one flow table of dense slots (flowtable.go); the
+// engines echo each flow's slot in its rate updates, so fan-out needs no
+// per-flow hash lookup.
+//
 // Sessions run over any net.Conn: loopback TCP via Serve, or an in-memory
 // net.Pipe end via ServeConn. A disconnecting session's flowlets are retired
 // at the next iteration boundary. Loop latency/throughput percentiles are

@@ -9,15 +9,16 @@ import (
 // the FlowBlock/LinkBlock parallel allocator, both behind churn-at-iteration
 // semantics.
 type engine interface {
-	FlowletStart(id core.FlowID, src, dst int, weight float64) error
-	// FlowletStartSized is FlowletStart carrying the endpoint's wire v4
+	// FlowletStart registers a flowlet. size is the endpoint's wire v4
 	// flowlet-size hint in bytes (0 = unknown), recorded in the flow
-	// metadata and ignored by the solvers.
-	FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error
+	// metadata and ignored by the solvers; slot is the daemon's flow-table
+	// slot, which the engine carries with the flow and echoes in every
+	// core.RateUpdate for it.
+	FlowletStart(id core.FlowID, src, dst int, weight float64, size int64, slot int32) error
 	FlowletEnd(id core.FlowID) error
 	// Iterate runs one allocation and returns the rate updates whose
-	// change exceeded the notification threshold. The returned slice is
-	// only valid until the next call.
+	// change exceeded the notification threshold, each carrying its flow's
+	// slot. The returned slice is only valid until the next call.
 	Iterate() []core.RateUpdate
 	// Objective returns the NUM objective Σ U(x) at the rates of the most
 	// recent Iterate (0 with no flows; -Inf while rates are still zero).
@@ -57,11 +58,11 @@ func newCoreEngine(cfg Config) (*coreEngine, error) {
 	return &coreEngine{alloc: alloc}, nil
 }
 
-func (e *coreEngine) FlowletStart(id core.FlowID, src, dst int, weight float64) error {
-	return e.alloc.FlowletStart(id, src, dst, weight)
-}
-func (e *coreEngine) FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error {
-	return e.alloc.FlowletStartSized(id, src, dst, weight, size)
+func (e *coreEngine) FlowletStart(id core.FlowID, src, dst int, weight float64, size int64, slot int32) error {
+	if err := e.alloc.FlowletStartSized(id, src, dst, weight, size); err != nil {
+		return err
+	}
+	return e.alloc.SetFlowSlot(id, slot)
 }
 func (e *coreEngine) FlowletEnd(id core.FlowID) error { return e.alloc.FlowletEnd(id) }
 func (e *coreEngine) Iterate() []core.RateUpdate      { return e.alloc.Iterate() }
@@ -128,12 +129,11 @@ func newParallelEngine(cfg Config) (*parallelEngine, error) {
 	return &parallelEngine{pa: pa, threshold: cfg.UpdateThreshold}, nil
 }
 
-func (e *parallelEngine) FlowletStart(id core.FlowID, src, dst int, weight float64) error {
-	return e.pa.FlowletStart(id, src, dst, weight)
-}
-
-func (e *parallelEngine) FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error {
-	return e.pa.FlowletStartSized(id, src, dst, weight, size)
+func (e *parallelEngine) FlowletStart(id core.FlowID, src, dst int, weight float64, size int64, slot int32) error {
+	if err := e.pa.FlowletStartSized(id, src, dst, weight, size); err != nil {
+		return err
+	}
+	return e.pa.SetFlowSlot(id, slot)
 }
 
 func (e *parallelEngine) FlowletEnd(id core.FlowID) error { return e.pa.FlowletEnd(id) }

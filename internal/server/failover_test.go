@@ -127,6 +127,66 @@ func TestDrainPreservesDisconnectedSessionFlows(t *testing.T) {
 	}
 }
 
+// TestDrainReconnectAdoptsFlows pins the other half of the drain contract: a
+// client that disconnects from a draining daemon and reconnects before
+// Shutdown finishes re-registers its flows through the adoption path — not
+// as duplicate adds — and receives their rates again.
+func TestDrainReconnectAdoptsFlows(t *testing.T) {
+	topo := failoverTopo(t)
+	srv, cli := startDaemon(t, topo)
+	if err := cli.FlowletStart(1, 0, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.FlowletStart(2, 1, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Step(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Drain()
+	cliConn(cli).Close()
+	waitFor(t, func() bool { return srv.Stats().SessionsActive == 0 })
+
+	clientEnd, serverEnd := net.Pipe()
+	go srv.ServeConn(serverEnd)
+	if err := cli.ResumeReconnect(clientEnd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Step(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.AdoptedFlows != 2 || st.DuplicateAdds != 0 || st.DrainRejects != 0 {
+		t.Fatalf("reconnect to a draining daemon: adopted %d, duplicates %d, drain rejects %d; want 2, 0, 0",
+			st.AdoptedFlows, st.DuplicateAdds, st.DrainRejects)
+	}
+	if got := srv.NumFlows(); got != 2 {
+		t.Fatalf("NumFlows = %d, want 2", got)
+	}
+
+	// Halving flow 1's NIC moves its rate past the notification threshold;
+	// the new rate must reach the reconnected client.
+	nic, ok := topo.LinkBetween(topo.Server(0), topo.ToRForRack(topo.RackOfServer(0)))
+	if !ok {
+		t.Fatal("no NIC link for server 0")
+	}
+	if err := srv.SetLinkCapacity(nic, topo.Config().LinkCapacity/2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		ups, err := cli.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range ups {
+			if u.Flow == 1 {
+				return
+			}
+		}
+	}
+	t.Fatal("adopted flow 1 never received a rate after its NIC was halved")
+}
+
 // TestShutdownNotifiesDrainingClients pins the final drain-flagged
 // EpochNotify: a connected client's read surfaces ErrDaemonDraining, with
 // the epoch value preserved (the flag is stripped client-side).

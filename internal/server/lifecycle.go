@@ -142,11 +142,9 @@ func (s *Server) Restore(snap []byte) error {
 			for i := 0; i < fs.Len(); i++ {
 				e := fs.Entry(i)
 				id := core.FlowID(e.Flow)
-				if err := s.eng.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
+				if err := s.admitLocked(id, int(e.Src), int(e.Dst), e.Weight, 0, nil); err != nil {
 					return fmt.Errorf("server: restore flowlet %d: %w", e.Flow, err)
 				}
-				s.owners[id] = nil
-				s.unowned[id] = flowMeta{src: int(e.Src), dst: int(e.Dst), weight: e.Weight}
 			}
 		case wire.TypePriceSnapshot:
 			ps, err := wire.DecodePriceSnapshot(payload)
@@ -242,16 +240,9 @@ func (s *Server) Shutdown(timeout time.Duration) ([]byte, error) {
 // empty (the per-session writers have caught up).
 func (s *Server) fanoutDrained() bool {
 	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
+	defer s.mu.Unlock()
 	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	for _, sess := range sessions {
-		sess.pmu.Lock()
-		n := len(sess.pending)
-		sess.pmu.Unlock()
-		if n > 0 {
+		if len(sess.dirty) > 0 {
 			return false
 		}
 	}

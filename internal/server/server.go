@@ -7,8 +7,8 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,7 +122,7 @@ type Stats struct {
 	// UpdatesSent counts rate-update entries written to clients;
 	// UpdatesCoalesced counts updates overwritten by a newer rate before
 	// a slow client drained them (the backpressure policy); BatchesSent
-	// counts RateBatch frames.
+	// counts rate frames written (RateBatch or RateDelta).
 	UpdatesSent      int64
 	UpdatesCoalesced int64
 	BatchesSent      int64
@@ -135,8 +135,8 @@ type Stats struct {
 	PeerExchanges int64
 	PeerRejected  int64
 	// AdoptedFlows counts flowlets whose ownership was transferred without
-	// engine churn: restored (or replica-seeded) flows claimed by a
-	// reconnecting client's re-registration.
+	// engine churn: restored, replica-seeded, or drain-orphaned flows
+	// claimed by a reconnecting client's re-registration.
 	AdoptedFlows int64
 	// Takeovers counts dead peer shards this daemon adopted.
 	Takeovers int64
@@ -165,13 +165,6 @@ type Stats struct {
 	// deterministically.
 	ExchangeBytes      int64
 	ExchangeBytesFixed int64
-}
-
-// flowMeta is the registration a flow without an owning session was created
-// from (snapshot restore or peer replica).
-type flowMeta struct {
-	src, dst int
-	weight   float64
 }
 
 // event is one flowlet notification waiting for the next iteration boundary.
@@ -203,13 +196,10 @@ type Server struct {
 	sessions map[*session]struct{}
 	// conns tracks every connection handed to ServeConn, including ones
 	// still mid-handshake, so Close can unblock their readers.
-	conns  map[net.Conn]struct{}
-	owners map[core.FlowID]*session
-	// unowned holds the registration metadata of flows that live in the
-	// engine without an owning session (restored from a snapshot or seeded
-	// from a peer replica), so a reconnecting client's re-registration can
-	// be verified and adopted without engine churn.
-	unowned  map[core.FlowID]flowMeta
+	conns map[net.Conn]struct{}
+	// flows is the per-flow state: owner, registration, pending rate and
+	// last-sent shadow, in dense slots (see flowtable.go).
+	flows    flowTable
 	inbox    []event
 	seq      uint64 // iteration counter
 	closed   bool
@@ -291,8 +281,6 @@ func New(cfg Config) (*Server, error) {
 		loop:     metrics.NewLoopRecorder(cfg.LatencyWindow),
 		sessions: make(map[*session]struct{}),
 		conns:    make(map[net.Conn]struct{}),
-		owners:   make(map[core.FlowID]*session),
-		unowned:  make(map[core.FlowID]flowMeta),
 		done:     make(chan struct{}),
 	}
 	s.epoch.Store(cfg.Epoch)
@@ -365,9 +353,9 @@ func (s *Server) BumpEpoch(epoch uint64) error {
 			// flowlets), so the delta fan-out must re-baseline: drop the
 			// last-sent shadow before the notify so every later rate is
 			// sent in full.
-			sess.pmu.Lock()
-			clear(sess.lastSent)
-			sess.pmu.Unlock()
+			s.mu.Lock()
+			s.flows.clearShadow(sess)
+			s.mu.Unlock()
 			if err := sess.write(frame); err != nil {
 				s.removeSession(sess)
 			}
@@ -457,6 +445,12 @@ func (s *Server) tickLoop() {
 			return
 		case <-t.C:
 			s.iterate(nil, 0)
+			// The session writers this iteration kicked need s.mu to copy
+			// their rates out. Yield so they run before the next tick (or
+			// its timer wake-up) can take the mutex again; without it a
+			// writer can wait out a whole further iteration and its rates
+			// coalesce into the next one.
+			runtime.Gosched()
 		}
 	}
 }
@@ -562,40 +556,30 @@ type session struct {
 	version uint16
 
 	// Write side: wmu serializes frame writes; wbuf is the reused
-	// synchronous-path encode buffer.
+	// synchronous-path encode buffer. Lock order is wmu, then srv.mu;
+	// nothing takes wmu while holding srv.mu.
 	wmu  sync.Mutex
 	wbuf []byte
 
-	// Asynchronous fan-out with coalescing backpressure: pending holds the
-	// latest rate per flow not yet drained by the writer goroutine, so a
-	// slow client bounds daemon memory at O(its flows) and always catches
-	// up to the *current* allocation, never a backlog of stale ones.
-	pmu        sync.Mutex
-	pending    map[int64]float64
+	// Asynchronous fan-out with coalescing backpressure: the flow table
+	// holds at most one pending rate per flow (latest wins) and dirty lists
+	// the slots that have one, so a slow client bounds daemon memory at
+	// O(its flows) and always catches up to the *current* allocation, never
+	// a backlog of stale ones. dirty, pendingSeq and nflows (the number of
+	// flows the session owns) are guarded by srv.mu.
+	dirty      []int32
 	pendingSeq uint64
+	nflows     int
 	kick       chan struct{}
 	done       chan struct{}
-
-	// lastSent (guarded by pmu, v4 sessions only) shadows the last rate
-	// value sent per flow — the xor bit pattern, or the quantized Mbps in
-	// QuantizeRates mode — so the writer skips flows whose rate has not
-	// changed since the session's last batch. It is per-session state: a
-	// reconnect starts a fresh session (and shadow), BumpEpoch clears it,
-	// and a flowlet end deletes its entry so a reused flow ID is never
-	// suppressed against a retired flow's rate.
-	lastSent map[int64]uint64
 
 	// fanBuf and fanEntries are the writer's reused encode buffer and entry
 	// scratch; replyEntries is the step-reply path's (the two paths run on
 	// different goroutines). Reusing them pins steady-state fan-out at
-	// 0 allocs/op (see BenchmarkFanoutFlush).
+	// 0 allocs/op (see BenchmarkFanoutFlush and BenchmarkStepReply).
 	fanBuf       []byte
 	fanEntries   []wire.RateEntry
 	replyEntries []wire.RateEntry
-
-	// flows are the flowlets this session registered (owned). Guarded by
-	// srv.mu.
-	flows map[core.FlowID]struct{}
 }
 
 // ServeConn runs one client session over conn (any net.Conn: loopback TCP
@@ -653,15 +637,12 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	}
 
 	sess := &session{
-		srv:      s,
-		conn:     conn,
-		id:       hello.ClientID,
-		version:  hello.Version,
-		pending:  make(map[int64]float64),
-		lastSent: make(map[int64]uint64),
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		flows:    make(map[core.FlowID]struct{}),
+		srv:     s,
+		conn:    conn,
+		id:      hello.ClientID,
+		version: hello.Version,
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -801,15 +782,9 @@ func (s *Server) removeSession(sess *session) {
 		// would retire exactly the flows a restarted or adopting daemon
 		// needs. Clients fail over warm at last-known rates regardless.
 		// The flows become unowned, claimable by a reconnecting client.
-		for id := range sess.flows {
-			s.owners[id] = nil
-		}
+		s.flows.disown(sess)
 	} else {
-		orphans = make([]core.FlowID, 0, len(sess.flows))
-		for id := range sess.flows {
-			orphans = append(orphans, id)
-		}
-		sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
+		orphans = s.flows.owned(sess)
 		for _, id := range orphans {
 			s.inbox = append(s.inbox, event{end: true, flow: id, sess: sess, cleanup: true})
 		}
@@ -829,25 +804,31 @@ func (sess *session) write(frame []byte) error {
 	return err
 }
 
-// queueUpdate records a rate update for asynchronous delivery, coalescing
-// with any undelivered update for the same flow (latest rate wins). Called
-// with srv.mu held.
-func (sess *session) queueUpdate(flow int64, rate float64, seq uint64) {
-	sess.pmu.Lock()
-	if _, dup := sess.pending[flow]; dup {
+// queueUpdate records a rate update for asynchronous delivery in the flow's
+// slot, coalescing with any undelivered rate for the same flow (latest rate
+// wins). The writer is kicked when the session's dirty list becomes
+// non-empty; until it copies the list out, later updates only join it.
+// Called with srv.mu held.
+func (sess *session) queueUpdate(sl *flowSlot, slot int32, rate float64, seq uint64) {
+	if sl.flags&slotPending != 0 {
 		sess.srv.stCoalesced.Add(1)
+	} else {
+		sl.flags |= slotPending
+		if len(sess.dirty) == 0 {
+			select {
+			case sess.kick <- struct{}{}:
+			default:
+			}
+		}
+		sess.dirty = append(sess.dirty, slot)
 	}
-	sess.pending[flow] = rate
+	sl.pending = rate
 	sess.pendingSeq = seq
-	sess.pmu.Unlock()
-	select {
-	case sess.kick <- struct{}{}:
-	default:
-	}
 }
 
-// writer drains the pending map into rate frames. One goroutine per
-// session, so a slow client never blocks the allocator loop or its peers.
+// writer drains the session's pending rates into rate frames. One goroutine
+// per session, so a slow client never blocks the allocator loop or its
+// peers.
 func (sess *session) writer() {
 	for {
 		select {
@@ -871,25 +852,47 @@ func (sess *session) shadowBits(rate float64) uint64 {
 	return math.Float64bits(rate)
 }
 
-// flushPending drains the pending map into one burst of RateBatch (v3) or
-// RateDelta (v4) frames, reporting false on a write error. The drain and the
-// write happen under one wmu hold: once a step reply (also serialized by
-// wmu) has purged a superseded rate from the pending map, no stale copy of
+// appendRates encodes entries as one rate frame in the session's protocol:
+// a RateDelta on v4, a fixed RateBatch before.
+func (sess *session) appendRates(buf []byte, seq uint64, entries []wire.RateEntry) []byte {
+	if sess.version >= 4 {
+		return wire.AppendRateDelta(buf, seq, sess.srv.cfg.QuantizeRates, entries)
+	}
+	return wire.AppendRateBatch(buf, seq, entries)
+}
+
+// maxEntries is the session's per-frame entry limit.
+func (sess *session) maxEntries() int {
+	if sess.version >= 4 {
+		return maxRateDeltaEntries
+	}
+	return maxBatchEntries
+}
+
+// flushPending drains the session's dirty slots into one burst of RateBatch
+// (v3) or RateDelta (v4) frames, reporting false on a write error. The writer
+// holds wmu for the whole flush and takes srv.mu only to copy its pending
+// rates out (and update the last-sent shadow): once a step reply (written
+// under wmu) has purged a superseded rate from the table, no stale copy of
 // it can reach the wire afterwards. Buffers and entry scratch live on the
 // session, so the steady state allocates nothing.
 func (sess *session) flushPending() bool {
+	srv := sess.srv
 	sess.wmu.Lock()
-	sess.pmu.Lock()
-	if len(sess.pending) == 0 {
-		sess.pmu.Unlock()
-		sess.wmu.Unlock()
-		return true
-	}
+	defer sess.wmu.Unlock()
+	srv.mu.Lock()
 	delta := sess.version >= 4
 	drained := 0
 	entries := sess.fanEntries[:0]
-	for flow, rate := range sess.pending {
-		delete(sess.pending, flow)
+	slots := srv.flows.slots
+	for _, slot := range sess.dirty {
+		sl := &slots[slot]
+		// Slots freed (or re-owned) since they were queued, and duplicates
+		// of a freed slot reused by this session, are skipped here.
+		if sl.owner != sess || sl.flags&slotPending == 0 {
+			continue
+		}
+		sl.flags &^= slotPending
 		drained++
 		if delta {
 			// Skip flows whose rate is unchanged since this session's last
@@ -897,52 +900,48 @@ func (sess *session) flushPending() bool {
 			// suppresses unchanged rates at the source, so this almost
 			// never fires in lossless mode — but quantization collapses
 			// nearby rates, and the shadow is what makes that cheap.
-			bits := sess.shadowBits(rate)
-			if prev, seen := sess.lastSent[flow]; seen && prev == bits {
+			bits := sess.shadowBits(sl.pending)
+			if sl.flags&slotShadow != 0 && sl.shadow == bits {
 				continue
 			}
-			sess.lastSent[flow] = bits
+			sl.shadow = bits
+			sl.flags |= slotShadow
 		}
-		entries = append(entries, wire.RateEntry{Flow: flow, Rate: rate})
+		entries = append(entries, wire.RateEntry{Flow: int64(sl.id), Rate: sl.pending})
 	}
+	sess.dirty = sess.dirty[:0]
 	seq := sess.pendingSeq
-	sess.pmu.Unlock()
+	srv.mu.Unlock()
 	sess.fanEntries = entries
-	sess.srv.stFanoutFixed.Add(fixedRateBytes(drained))
-	if len(entries) == 0 {
-		sess.wmu.Unlock()
+	if drained == 0 {
 		return true
 	}
-	// Deterministic wire order regardless of map iteration (and small flow
+	srv.stFanoutFixed.Add(fixedRateBytes(drained))
+	if len(entries) == 0 {
+		return true
+	}
+	// Deterministic wire order regardless of queueing order (and small flow
 	// deltas for the v4 encoding), chunked to the per-frame entry limit.
 	slices.SortFunc(entries, func(a, b wire.RateEntry) int {
 		return cmp.Compare(a.Flow, b.Flow)
 	})
-	maxChunk := maxBatchEntries
-	if delta {
-		maxChunk = maxRateDeltaEntries
-	}
+	maxChunk := sess.maxEntries()
 	buf := sess.fanBuf
 	writeErr := false
 	var sent int64
 	for start := 0; start < len(entries); start += maxChunk {
 		end := min(start+maxChunk, len(entries))
-		if delta {
-			buf = wire.AppendRateDelta(buf[:0], seq, sess.srv.cfg.QuantizeRates, entries[start:end])
-		} else {
-			buf = wire.AppendRateBatch(buf[:0], seq, entries[start:end])
-		}
+		buf = sess.appendRates(buf[:0], seq, entries[start:end])
 		sent += int64(len(buf))
 		if _, err := sess.conn.Write(buf); err != nil {
 			writeErr = true
 			break
 		}
-		sess.srv.stBatches.Add(1)
-		sess.srv.stUpdates.Add(int64(end - start))
+		srv.stBatches.Add(1)
+		srv.stUpdates.Add(int64(end - start))
 	}
 	sess.fanBuf = buf
-	sess.wmu.Unlock()
-	sess.srv.stFanoutBytes.Add(sent)
+	srv.stFanoutBytes.Add(sent)
 	return !writeErr
 }
 
@@ -1001,96 +1000,66 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		s.recordTelemetryLocked(seq, latency.Seconds(), len(updates), churn)
 	}
 
-	var reply []byte
-	replyCount, replyBatches := 0, 0
+	// One walk over the updates routes each through its flow's slot. The
+	// stepper's rates are collected for the reply in engine update order
+	// (v4 zigzag flow deltas cost one extra bit for unsorted IDs, never
+	// correctness, and the order keeps decoded update sequences identical
+	// to the v3 wire); they supersede anything still queued for
+	// asynchronous delivery from interleaved ticker iterations, so the
+	// pending bit is cleared and the writer cannot emit a stale rate after
+	// the reply. On v4 the reply also records the last-sent shadow, so a
+	// later asynchronous flush can suppress a resend of the identical rate.
+	// Step replies themselves never consult the shadow — every update the
+	// engine surfaces reaches the stepping client, keeping step-driven runs
+	// (and the committed baselines) byte-identical across versions. Other
+	// owners' rates are queued for their writers.
+	var entries []wire.RateEntry
+	shadowReply := false
 	if stepper != nil {
-		for _, u := range updates {
-			if s.owners[u.Flow] == stepper {
-				replyCount++
+		entries = stepper.replyEntries[:0]
+		shadowReply = stepper.version >= 4
+	}
+	slots := s.flows.slots
+	for _, u := range updates {
+		sl := &slots[u.Slot]
+		switch owner := sl.owner; {
+		case owner == nil:
+		case owner == stepper:
+			entries = append(entries, wire.RateEntry{Flow: int64(u.Flow), Rate: u.Rate})
+			sl.flags &^= slotPending
+			if shadowReply {
+				sl.shadow = stepper.shadowBits(u.Rate)
+				sl.flags |= slotShadow
 			}
+		default:
+			owner.queueUpdate(sl, u.Slot, u.Rate, seq)
 		}
+	}
+
+	var reply []byte
+	replyBatches := 0
+	if stepper != nil {
+		stepper.replyEntries = entries
 		// Chunk oversized update sets so no frame exceeds the uint24
 		// payload limit. Non-final chunks carry the iteration sequence
 		// (the client folds them in like asynchronous fan-out); only the
 		// final chunk carries the step-reply barrier.
 		reply = stepper.wbuf[:0]
-		if stepper.version >= 4 {
-			// v4 step replies use the delta encoding in engine update
-			// order: zigzag flow deltas cost one extra bit for unsorted
-			// IDs, never correctness, and preserving order keeps decoded
-			// update sequences identical to the v3 wire.
-			entries := stepper.replyEntries[:0]
-			for _, u := range updates {
-				if s.owners[u.Flow] == stepper {
-					entries = append(entries, wire.RateEntry{Flow: int64(u.Flow), Rate: u.Rate})
-				}
-			}
-			stepper.replyEntries = entries
-			if len(entries) == 0 {
-				reply = wire.AppendRateDelta(reply, stepSeq|wire.StepReplyFlag, s.cfg.QuantizeRates, nil)
-				replyBatches = 1
-			} else {
-				for start := 0; start < len(entries); start += maxRateDeltaEntries {
-					end := min(start+maxRateDeltaEntries, len(entries))
-					hdrSeq := seq
-					if end == len(entries) {
-						hdrSeq = stepSeq | wire.StepReplyFlag
-					}
-					reply = wire.AppendRateDelta(reply, hdrSeq, s.cfg.QuantizeRates, entries[start:end])
-					replyBatches++
-				}
-			}
-		} else if replyCount == 0 {
-			reply = wire.AppendRateBatchHeader(reply, stepSeq|wire.StepReplyFlag, 0)
+		if len(entries) == 0 {
+			reply = stepper.appendRates(reply, stepSeq|wire.StepReplyFlag, nil)
 			replyBatches = 1
-		} else {
-			emitted, chunkLeft := 0, 0
-			for _, u := range updates {
-				if s.owners[u.Flow] != stepper {
-					continue
-				}
-				if chunkLeft == 0 {
-					n := replyCount - emitted
-					hdrSeq := seq
-					if n <= maxBatchEntries {
-						hdrSeq = stepSeq | wire.StepReplyFlag
-					} else {
-						n = maxBatchEntries
-					}
-					reply = wire.AppendRateBatchHeader(reply, hdrSeq, n)
-					chunkLeft = n
-					replyBatches++
-				}
-				reply = wire.AppendRateEntry(reply, wire.RateEntry{Flow: int64(u.Flow), Rate: u.Rate})
-				chunkLeft--
-				emitted++
+		}
+		maxChunk := stepper.maxEntries()
+		for start := 0; start < len(entries); start += maxChunk {
+			end := min(start+maxChunk, len(entries))
+			hdrSeq := seq
+			if end == len(entries) {
+				hdrSeq = stepSeq | wire.StepReplyFlag
 			}
+			reply = stepper.appendRates(reply, hdrSeq, entries[start:end])
+			replyBatches++
 		}
 		stepper.wbuf = reply
-		// These rates supersede anything still queued for asynchronous
-		// delivery (from interleaved ticker iterations): purge them so the
-		// writer cannot emit a stale rate after the reply. On v4 sessions
-		// also record the last-sent shadow, so a later asynchronous flush
-		// can suppress a resend of the identical rate. Step replies
-		// themselves never consult the shadow — every update the engine
-		// surfaces reaches the stepping client, keeping step-driven runs
-		// (and the committed baselines) byte-identical across versions.
-		stepper.pmu.Lock()
-		for _, u := range updates {
-			if s.owners[u.Flow] == stepper {
-				delete(stepper.pending, int64(u.Flow))
-				if stepper.version >= 4 {
-					stepper.lastSent[int64(u.Flow)] = stepper.shadowBits(u.Rate)
-				}
-			}
-		}
-		stepper.pmu.Unlock()
-	}
-	for _, u := range updates {
-		owner := s.owners[u.Flow]
-		if owner != nil && owner != stepper {
-			owner.queueUpdate(int64(u.Flow), u.Rate, seq)
-		}
 	}
 	var peers []*peerConn
 	if s.shard != nil {
@@ -1111,9 +1080,9 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		// stepping client, so a client sampling Stats right after Step must
 		// already see this reply (benchmark counters stay deterministic).
 		s.stBatches.Add(int64(replyBatches))
-		s.stUpdates.Add(int64(replyCount))
+		s.stUpdates.Add(int64(len(entries)))
 		s.stFanoutBytes.Add(int64(len(reply)))
-		s.stFanoutFixed.Add(fixedRateBytes(replyCount))
+		s.stFanoutFixed.Add(fixedRateBytes(len(entries)))
 		if err := stepper.write(reply); err != nil {
 			return fmt.Errorf("server: session %d: step reply: %w", stepper.id, err)
 		}
@@ -1131,16 +1100,17 @@ var maxBatchEntries = wire.MaxBatchEntries
 var maxRateDeltaEntries = wire.MaxRateDeltaEntries
 
 // drainInboxLocked folds pending flowlet events into the engine, in arrival
-// order, with duplicate/unknown defense. Called with s.mu held.
+// order, with duplicate/unknown defense. This is where flow IDs are resolved
+// to flow-table slots. Called with s.mu held.
 func (s *Server) drainInboxLocked() {
 	for _, ev := range s.inbox {
+		slot, known := s.flows.index[ev.flow]
 		if ev.end {
-			owner, ok := s.owners[ev.flow]
-			if !ok {
+			if !known {
 				s.stUnknown.Add(1)
 				continue
 			}
-			if ev.cleanup && owner != ev.sess {
+			if ev.cleanup && s.flows.slots[slot].owner != ev.sess {
 				// Stale orphan sweep: the flow was re-registered (by a
 				// reconnected client under a new session) after the dead
 				// session's cleanup was scheduled. The new owner's
@@ -1151,50 +1121,39 @@ func (s *Server) drainInboxLocked() {
 				s.logf("flowlet %d end: %v", ev.flow, err)
 				continue
 			}
-			delete(s.owners, ev.flow)
-			delete(s.unowned, ev.flow)
-			if owner != nil {
-				delete(owner.flows, ev.flow)
-				// Drop any undelivered rate and the delta shadow: a later
-				// flowlet reusing this ID must get its first rate on the
-				// wire even if it happens to equal the retired flow's last.
-				owner.pmu.Lock()
-				delete(owner.pending, int64(ev.flow))
-				delete(owner.lastSent, int64(ev.flow))
-				owner.pmu.Unlock()
-			}
+			// Freeing the slot drops any undelivered rate and the delta
+			// shadow: a later flowlet reusing this ID must get its first
+			// rate on the wire even if it equals the retired flow's last.
+			s.flows.remove(slot)
 			continue
 		}
-		if owner, dup := s.owners[ev.flow]; dup {
-			// Adoption without churn: a flow restored from a snapshot or
-			// seeded from a peer replica sits in the engine unowned. When a
+		if known {
+			// Adoption without churn: a flow restored from a snapshot, seeded
+			// from a peer replica, or left by a client that disconnected from
+			// a draining daemon sits in the engine unowned. When a
 			// reconnecting client re-registers it with the same route and
 			// weight, ownership transfers in place — the engine never sees a
 			// retire/re-add pair, so prices and rates are undisturbed and a
 			// warm restart costs zero registrations.
-			meta, unowned := s.unowned[ev.flow]
-			if owner == nil && unowned && ev.sess != nil {
-				if meta.src == ev.src && meta.dst == ev.dst && meta.weight == ev.weight {
-					if _, live := s.sessions[ev.sess]; live {
-						s.owners[ev.flow] = ev.sess
-						ev.sess.flows[ev.flow] = struct{}{}
-						delete(s.unowned, ev.flow)
-						s.stAdopted.Add(1)
-					}
-					continue
-				}
-				// Same ID, different registration: the stored flow is stale.
-				// Retire it and fall through to a fresh registration.
-				if err := s.eng.FlowletEnd(ev.flow); err != nil {
-					s.logf("flowlet %d stale-adopt end: %v", ev.flow, err)
-					continue
-				}
-				delete(s.owners, ev.flow)
-				delete(s.unowned, ev.flow)
-			} else {
+			sl := &s.flows.slots[slot]
+			if sl.owner != nil || ev.sess == nil {
 				s.stDupAdds.Add(1)
 				continue
 			}
+			if int(sl.src) == ev.src && int(sl.dst) == ev.dst && sl.weight == ev.weight {
+				if _, live := s.sessions[ev.sess]; live {
+					s.flows.setOwner(slot, ev.sess)
+					s.stAdopted.Add(1)
+				}
+				continue
+			}
+			// Same ID, different registration: the stored flow is stale.
+			// Retire it and fall through to a fresh registration.
+			if err := s.eng.FlowletEnd(ev.flow); err != nil {
+				s.logf("flowlet %d stale-adopt end: %v", ev.flow, err)
+				continue
+			}
+			s.flows.remove(slot)
 		}
 		if s.draining {
 			// A draining daemon admits no new flowlets: it is about to hand
@@ -1211,7 +1170,7 @@ func (s *Server) drainInboxLocked() {
 				s.stRejected.Add(1)
 				continue
 			}
-			if s.cfg.MaxSessionFlows > 0 && len(ev.sess.flows) >= s.cfg.MaxSessionFlows {
+			if s.cfg.MaxSessionFlows > 0 && ev.sess.nflows >= s.cfg.MaxSessionFlows {
 				s.stLimited.Add(1)
 				s.logf("flowlet %d add dropped: session %d at its %d-flow limit", ev.flow, ev.sess.id, s.cfg.MaxSessionFlows)
 				continue
@@ -1225,15 +1184,21 @@ func (s *Server) drainInboxLocked() {
 			s.logf("flowlet %d add rejected: server %d is not owned by shard %d/%d", ev.flow, ev.src, s.cfg.ShardIndex, s.cfg.NumShards)
 			continue
 		}
-		if err := s.eng.FlowletStartSized(ev.flow, ev.src, ev.dst, ev.weight, ev.size); err != nil {
+		if err := s.admitLocked(ev.flow, ev.src, ev.dst, ev.weight, ev.size, ev.sess); err != nil {
 			s.stRejected.Add(1)
 			s.logf("flowlet %d add rejected: %v", ev.flow, err)
-			continue
-		}
-		s.owners[ev.flow] = ev.sess
-		if ev.sess != nil {
-			ev.sess.flows[ev.flow] = struct{}{}
 		}
 	}
 	s.inbox = s.inbox[:0]
+}
+
+// admitLocked registers a new flowlet with the engine and the flow table;
+// owner nil admits it unowned (snapshot restore, replica adoption). Called
+// with s.mu held.
+func (s *Server) admitLocked(id core.FlowID, src, dst int, weight float64, size int64, owner *session) error {
+	if err := s.eng.FlowletStart(id, src, dst, weight, size, s.flows.nextSlot()); err != nil {
+		return err
+	}
+	s.flows.insert(id, owner, src, dst, weight)
+	return nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // testTopology is a small two-tier fabric (16 servers) shared by the tests.
-func testTopology(t *testing.T) *topology.Topology {
+func testTopology(t testing.TB) *topology.Topology {
 	t.Helper()
 	cfg := topology.DefaultSimConfig()
 	cfg.Racks = 4
@@ -662,7 +662,7 @@ func TestParallelEngineSteadyStateAllocs(t *testing.T) {
 	}
 	defer eng.Close()
 	for i := 0; i < 64; i++ {
-		if err := eng.FlowletStart(core.FlowID(i), i%16, (i+5)%16, 1); err != nil {
+		if err := eng.FlowletStart(core.FlowID(i), i%16, (i+5)%16, 1, 0, int32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

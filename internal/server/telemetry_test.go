@@ -35,7 +35,7 @@ func TestIterateZeroAllocsWithTelemetry(t *testing.T) {
 
 			srv.mu.Lock()
 			for i := 0; i < 64; i++ {
-				if err := srv.eng.FlowletStart(core.FlowID(i), i%16, (i+5)%16, 1); err != nil {
+				if err := srv.admitLocked(core.FlowID(i), i%16, (i+5)%16, 1, 0, nil); err != nil {
 					srv.mu.Unlock()
 					t.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -35,14 +36,34 @@ func (c *fanoutConn) SetWriteDeadline(t time.Time) error { return nil }
 // handshake: just enough state for queueUpdate/flushPending.
 func fanoutSession(srv *Server, conn net.Conn) *session {
 	return &session{
-		srv:      srv,
-		conn:     conn,
-		version:  wire.Version,
-		pending:  make(map[int64]float64),
-		lastSent: make(map[int64]uint64),
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		srv:     srv,
+		conn:    conn,
+		version: wire.Version,
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
+}
+
+// ownFlows registers flows in the server's flow table (not the engine) as
+// owned by sess and returns their slots.
+func ownFlows(sess *session, ids ...int64) []int32 {
+	srv := sess.srv
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	slots := make([]int32, len(ids))
+	for i, id := range ids {
+		slots[i] = srv.flows.insert(core.FlowID(id), sess, 0, 1, 1)
+	}
+	return slots
+}
+
+// queue hands one rate for a table slot to its owner's asynchronous path,
+// as iterate does for flows the stepper does not own.
+func queue(sess *session, slot int32, rate float64, seq uint64) {
+	srv := sess.srv
+	srv.mu.Lock()
+	sess.queueUpdate(&srv.flows.slots[slot], slot, rate, seq)
+	srv.mu.Unlock()
 }
 
 // decodeRateFrames parses every recorded frame as a RateDelta and returns
@@ -77,9 +98,11 @@ func TestFanoutDeltaSuppression(t *testing.T) {
 	srv := &Server{}
 	conn := &fanoutConn{record: true}
 	sess := fanoutSession(srv, conn)
+	slots := ownFlows(sess, 9, 7)
+	f9, f7 := slots[0], slots[1]
 
-	sess.queueUpdate(7, 5e9, 1)
-	sess.queueUpdate(9, 2.5e9, 1)
+	queue(sess, f9, 2.5e9, 1)
+	queue(sess, f7, 5e9, 1)
 	if !sess.flushPending() {
 		t.Fatal("flushPending reported write error")
 	}
@@ -93,16 +116,16 @@ func TestFanoutDeltaSuppression(t *testing.T) {
 
 	// Same rates again: both suppressed, no frame at all.
 	conn.frames = nil
-	sess.queueUpdate(7, 5e9, 2)
-	sess.queueUpdate(9, 2.5e9, 2)
+	queue(sess, f7, 5e9, 2)
+	queue(sess, f9, 2.5e9, 2)
 	sess.flushPending()
 	if len(conn.frames) != 0 {
 		t.Fatalf("unchanged rates produced %d frames, want 0", len(conn.frames))
 	}
 
 	// One rate moves: only that flow is resent.
-	sess.queueUpdate(7, 5e9, 3)
-	sess.queueUpdate(9, 3e9, 3)
+	queue(sess, f7, 5e9, 3)
+	queue(sess, f9, 3e9, 3)
 	sess.flushPending()
 	got = decodeRateFrames(t, conn.frames)
 	if len(got) != 1 || len(got[0]) != 1 || got[0][0].Flow != 9 || got[0][0].Rate != 3e9 {
@@ -110,11 +133,13 @@ func TestFanoutDeltaSuppression(t *testing.T) {
 	}
 
 	// A fresh session (what Reconnect and BumpEpoch produce) has a fresh
-	// shadow: the same rates go out in full again.
+	// shadow: once it owns the flows, the same rates go out in full again.
 	conn2 := &fanoutConn{record: true}
 	sess2 := fanoutSession(srv, conn2)
-	sess2.queueUpdate(7, 5e9, 1)
-	sess2.queueUpdate(9, 3e9, 1)
+	srv.flows.setOwner(f7, sess2)
+	srv.flows.setOwner(f9, sess2)
+	queue(sess2, f7, 5e9, 1)
+	queue(sess2, f9, 3e9, 1)
 	sess2.flushPending()
 	got = decodeRateFrames(t, conn2.frames)
 	if len(got) != 1 || len(got[0]) != 2 {
@@ -130,8 +155,9 @@ func TestQuantizedFanout(t *testing.T) {
 	conn := &fanoutConn{record: true}
 	sess := fanoutSession(srv, conn)
 
+	f1 := ownFlows(sess, 1)[0]
 	rate := 1.2345678e9
-	sess.queueUpdate(1, rate, 1)
+	queue(sess, f1, rate, 1)
 	sess.flushPending()
 	got := decodeRateFrames(t, conn.frames)
 	want := wire.DequantizeRate(wire.QuantizeRate(rate))
@@ -141,14 +167,14 @@ func TestQuantizedFanout(t *testing.T) {
 
 	// A sub-Mbps wiggle lands in the same bucket: suppressed.
 	conn.frames = nil
-	sess.queueUpdate(1, rate+1e3, 2)
+	queue(sess, f1, rate+1e3, 2)
 	sess.flushPending()
 	if len(conn.frames) != 0 {
 		t.Fatalf("sub-grid rate change produced %d frames, want 0", len(conn.frames))
 	}
 
 	// A full-Mbps move crosses buckets: sent.
-	sess.queueUpdate(1, rate+5e6, 3)
+	queue(sess, f1, rate+5e6, 3)
 	sess.flushPending()
 	got = decodeRateFrames(t, conn.frames)
 	want = wire.DequantizeRate(wire.QuantizeRate(rate + 5e6))
@@ -157,25 +183,39 @@ func TestQuantizedFanout(t *testing.T) {
 	}
 }
 
-// fillFanout loads n flows into the session's pending map with rates that
-// differ from round to round, so suppression never hides the encode work.
-func fillFanout(sess *session, n int, round int) {
-	sess.pmu.Lock()
-	for i := 0; i < n; i++ {
-		sess.pending[int64(i*3)] = float64(1e9 + i*1000 + round)
+// fanoutFlows registers n flows (IDs 0, 3, 6, ...) owned by sess in slots
+// 0..n-1.
+func fanoutFlows(sess *session, n int) {
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i * 3)
 	}
-	sess.pendingSeq = uint64(round)
-	sess.pmu.Unlock()
+	ownFlows(sess, ids...)
+}
+
+// fillFanout queues a rate for each of the n flows fanoutFlows registered,
+// in a scrambled order (as engine update order is not flow-ID order), with
+// rates that differ from round to round so suppression never hides the
+// encode work. n must be a power of two.
+func fillFanout(sess *session, n int, round int) {
+	srv := sess.srv
+	srv.mu.Lock()
+	for i := 0; i < n; i++ {
+		slot := int32(i * 7919 % n)
+		sess.queueUpdate(&srv.flows.slots[slot], slot, float64(1e9+int(slot)*1000+round), uint64(round))
+	}
+	srv.mu.Unlock()
 }
 
 // TestFanoutFlushZeroAllocs pins the steady-state fan-out path at zero
-// allocations per flush: the entry scratch, encode buffer, and both shadow
-// maps are reused across iterations (satellite of the wire v4 PR).
+// allocations per flush: the dirty list, entry scratch and encode buffer are
+// reused across iterations, and the pending rates and shadows live in the
+// flow table's slots.
 func TestFanoutFlushZeroAllocs(t *testing.T) {
 	sess := fanoutSession(&Server{}, &fanoutConn{})
 	const flows = 256
-	// Warm-up rounds grow the scratch slices and map buckets to steady
-	// state.
+	fanoutFlows(sess, flows)
+	// Warm-up rounds grow the scratch slices to steady state.
 	for round := 0; round < 3; round++ {
 		fillFanout(sess, flows, round)
 		sess.flushPending()
@@ -196,6 +236,7 @@ func TestFanoutFlushZeroAllocs(t *testing.T) {
 func BenchmarkFanoutFlush(b *testing.B) {
 	sess := fanoutSession(&Server{}, &fanoutConn{})
 	const flows = 1024
+	fanoutFlows(sess, flows)
 	for round := 0; round < 3; round++ {
 		fillFanout(sess, flows, round)
 		sess.flushPending()
